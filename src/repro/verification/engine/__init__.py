@@ -1,14 +1,16 @@
 """Symmetry-reduced, parallel-capable verification engine.
 
 The engine is the repo's Murphi stand-in, rebuilt from the seed's flat BFS
-explorer into four cooperating modules:
+explorer into cooperating modules:
 
 * :mod:`~repro.verification.engine.canonical` -- cache-ID permutation
   algebra and scalarset-style state canonicalization;
 * :mod:`~repro.verification.engine.store` -- interned state store with
   columnar parent links and optional hash compaction;
+* :mod:`~repro.verification.engine.expand` -- the one per-state expander
+  (over the compiled kernel or the object executor) and the BFS level loop;
 * :mod:`~repro.verification.engine.search` -- pluggable search strategies
-  (BFS, DFS, fork-based parallel BFS);
+  (BFS, DFS, fork-based parallel BFS), drivers over that expander;
 * :mod:`~repro.verification.engine.parallel` /
   :mod:`~repro.verification.engine.shard` -- the shared-memory parallel
   scale-out: zero-copy frontier arenas, work-stealing chunk claims, and
@@ -37,7 +39,7 @@ from repro.verification.engine.canonical import (
 )
 from repro.verification.engine.checkpoint import CheckpointMismatch
 from repro.verification.engine.core import Exploration, VerificationResult, verify
-from repro.verification.engine.parallel import ShmEngine
+from repro.verification.engine.parallel import ShmEngine, WorkerLost
 from repro.verification.engine.shard import SpillableKeySet, digest128
 from repro.verification.engine.search import (
     BreadthFirst,
@@ -60,6 +62,7 @@ __all__ = [
     "SpillableKeySet",
     "StateStore",
     "VerificationResult",
+    "WorkerLost",
     "digest128",
     "canonicalize",
     "canonicalize_bruteforce",

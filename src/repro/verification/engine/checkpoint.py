@@ -1,22 +1,25 @@
 """Checkpoint/resume for budgeted searches.
 
-A checkpoint is one pickle file capturing everything a search needs to
-continue *bit-identically*: the store's columnar trace links (plus, for
-in-process searches, the intern keys in ID order), the pending frontier, the
-running counters, and -- for a search whose visited set lives sharded across
-worker processes -- the concatenated shard digests instead of keys.
+A checkpoint is one file capturing everything a search needs to continue
+*bit-identically*: the store's columnar trace links (plus, for in-process
+searches, the intern keys in ID order), the pending frontier, the running
+counters, and -- for a search whose visited set lives sharded across worker
+processes -- the concatenated shard digests instead of keys.  The file is a
+fixed header (magic, payload version, BLAKE2b digest of the body) followed
+by the pickled body; :func:`load` verifies the digest before unpickling, so
+a truncated or corrupted file is refused instead of resumed.
 
 Three frontier shapes cover the engine's strategies:
 
-* ``mode="deque"`` -- the serial BFS/DFS worklist, saved mid-level exactly
-  as it stood when the ``max_states`` budget hit; resuming continues with
-  the very next pop, so the completed search is bit-identical to an
-  uninterrupted one (IDs, counts, verdict, trace).
-* ``mode="level"`` -- a level-synchronous search (vectorized BFS, or the
-  parallel strategy before its pool spins up) saved at a level boundary:
-  when the next level would cross the budget the whole level is saved
-  *unclipped* instead of partially expanded, so the resumed run explores
-  the identical level sequence.
+* ``mode="level"`` -- every BFS (serial, vectorized, or the parallel
+  strategy before its pool spins up) saved at a level boundary: when the
+  next level would cross the budget the whole level is saved *unclipped*
+  instead of partially expanded, so the resumed run explores the identical
+  level sequence and ends on an uninterrupted run's exact counters.
+* ``mode="deque"`` -- DFS only: the stack exactly as it stood when the
+  ``max_states`` budget hit; resuming continues with the very next pop, so
+  the completed search is bit-identical to an uninterrupted one (IDs,
+  counts, verdict, trace).
 * ``mode="sharded"`` -- the shared-memory parallel engine past spin-up:
   the parent holds no key dict, so the checkpoint carries the workers'
   shard digests (re-shardable under a different worker count on resume).
@@ -33,9 +36,31 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 
 #: Bumped whenever the payload layout changes; a mismatch refuses to resume.
-CHECKPOINT_VERSION = 1
+#: Version 2: serial BFS saves ``level`` checkpoints, and the header below.
+CHECKPOINT_VERSION = 2
+
+#: ``(magic, version, BLAKE2b-256 digest of the pickled body)``.
+_HEADER = struct.Struct("<8sI32s")
+_MAGIC = b"PGCKPT\r\n"
+
+
+def _body_hash():
+    return hashlib.blake2b(digest_size=32)
+
+
+class _HashingWriter:
+    """File wrapper that digests everything pickled through it."""
+
+    def __init__(self, f):
+        self.f = f
+        self.hash = _body_hash()
+
+    def write(self, data):
+        self.hash.update(data)
+        return self.f.write(data)
 
 
 class CheckpointMismatch(ValueError):
@@ -76,7 +101,6 @@ def save(ctx, *, mode: str, frontier, level: int | None,
     """
     path = ctx.checkpoint_path
     payload = {
-        "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint(ctx),
         "mode": mode,
         "level": level,
@@ -89,7 +113,13 @@ def save(ctx, *, mode: str, frontier, level: int | None,
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
-        pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+        # Stream the body through the digest (no in-memory copy of a
+        # multi-megabyte pickle), then fill the header in.
+        f.write(bytes(_HEADER.size))
+        body = _HashingWriter(f)
+        pickle.dump(payload, body, protocol=pickle.HIGHEST_PROTOCOL)
+        f.seek(0)
+        f.write(_HEADER.pack(_MAGIC, CHECKPOINT_VERSION, body.hash.digest()))
     os.replace(tmp, path)
 
 
@@ -99,18 +129,32 @@ def load(ctx) -> dict | None:
     Returns the payload (the caller's strategy picks the frontier up from
     ``ctx.resume``) or ``None`` when no checkpoint file exists.  Raises
     :class:`CheckpointMismatch` when the file was written by a different
-    search configuration or payload version.
+    search configuration or payload version, or when its body does not
+    match the header digest (truncated or corrupted).
     """
     path = ctx.checkpoint_path
     if path is None or not os.path.exists(path):
         return None
     with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:len(_MAGIC)] != _MAGIC:
+            raise CheckpointMismatch(
+                f"checkpoint {path!r} has no version-{CHECKPOINT_VERSION} "
+                "header (an older payload version, or not a checkpoint)"
+            )
+        _magic, version, digest = _HEADER.unpack(header)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointMismatch(
+                f"checkpoint {path!r} has payload version {version}, "
+                f"expected {CHECKPOINT_VERSION}"
+            )
+        if hashlib.file_digest(f, _body_hash).digest() != digest:
+            raise CheckpointMismatch(
+                f"checkpoint {path!r} is corrupt: its body does not match "
+                "the header digest (truncated or modified)"
+            )
+        f.seek(_HEADER.size)
         payload = pickle.load(f)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} has payload version "
-            f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
     expected = fingerprint(ctx)
     if payload.get("fingerprint") != expected:
         raise CheckpointMismatch(

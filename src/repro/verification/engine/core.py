@@ -13,7 +13,9 @@ composes three orthogonal pieces:
   optional hash compaction;
 * **pluggable search strategies** (:mod:`repro.verification.engine.search`)
   -- breadth-first (default), depth-first, and a fork-based multiprocessing
-  breadth-first search that shards the frontier across worker processes.
+  breadth-first search that shards the frontier across worker processes --
+  all driving the one per-state expander
+  (:mod:`repro.verification.engine.expand`).
 
 Counterexample traces remain valid under symmetry reduction: every stored
 transition records the permutation that canonicalized its successor, and
@@ -30,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.system.system import GlobalState, System, SystemEvent
+from repro.system.system import System, SystemEvent
 from repro.verification.engine.canonical import (
     Permutation,
     canonicalize_encoded,
@@ -39,6 +41,7 @@ from repro.verification.engine.canonical import (
     relabel_event,
 )
 from repro.verification.engine import checkpoint as checkpoint_mod
+from repro.verification.engine.expand import Expander
 from repro.verification.engine.store import StateStore
 from repro.verification.invariants import (
     Invariant,
@@ -161,6 +164,13 @@ class Exploration:
         #: frontier-batch BFS, or None.  Requires ``kernel`` (the compiled
         #: kernel stays on as the memo-miss oracle and the fallback).
         self.vkernel = vkernel
+        #: The per-state expansion step every driver shares (over the
+        #: compiled kernel, or the object executor when ``kernel`` is None).
+        self.expander = Expander(
+            system, invariants, perms, kernel_codes,
+            check_deadlock=check_deadlock,
+            check_workload_deadlock=check_workload_deadlock,
+        )
         #: Set by the strategy that actually ran ("vectorized") to override
         #: the kernel/backed-off naming in :meth:`_result`; None means the
         #: compiled/object naming applies.
@@ -177,9 +187,6 @@ class Exploration:
         self.transitions = 0
         self.complete_states = 0
         self.truncated = False
-        #: Wall-clock spent inside canonicalization (strategies accumulate;
-        #: workers report their share per batch).
-        self.canon_seconds = 0.0
         #: ``GlobalState`` decodes reported back by worker processes (their
         #: codecs are private copies, so the parent counter cannot see them).
         self.worker_decodes = 0
@@ -206,11 +213,8 @@ class Exploration:
         # Decode baseline: the codec is cached per system, so its counter
         # carries history from earlier searches; stats report the delta.
         self._decode_base = self.codec.decode_count
-        self.root: tuple[int, GlobalState] | None = None
-        #: Packed encoding of the (canonical) root, for strategies that ship
-        #: encoded frontiers instead of state objects.
-        self.root_key: bytes | None = None
-        #: Flat int-tuple encoding of the (canonical) root (compiled mode).
+        #: Store ID and flat int-tuple encoding of the (canonical) root.
+        self.root_id: int | None = None
         self.root_enc: tuple | None = None
 
     # -- setup -----------------------------------------------------------------
@@ -228,14 +232,12 @@ class Exploration:
             enc, root_perm = canonicalize_encoded(enc, codec, self.perms)
             if root_perm != self.perms[0]:
                 initial = codec.decode(enc)
-        self.root_key = codec.pack(enc)
         self.root_enc = enc
-        root_id, _ = self.store.intern(self.root_key, perm=root_perm)
-        self.root = (root_id, initial)
+        self.root_id, _ = self.store.intern(codec.pack(enc), perm=root_perm)
         for invariant in self.invariants:
             violation = invariant(self.system, initial)
             if violation is not None:
-                return self.failure(violation=violation, leaf_id=root_id)
+                return self.failure(violation=violation, leaf_id=self.root_id)
         return None
 
     # -- trace reconstruction ----------------------------------------------------
@@ -277,6 +279,7 @@ class Exploration:
     # -- result constructors -----------------------------------------------------
     def _result(self, ok: bool, **kwargs) -> VerificationResult:
         elapsed = time.perf_counter() - self.start
+        canon_seconds = self.expander.canon_seconds
         kernel = self.kernel_name or (
             "compiled" if self.kernel is not None else "object"
         )
@@ -286,14 +289,14 @@ class Exploration:
             "decode_count": (
                 self.codec.decode_count - self._decode_base + self.worker_decodes
             ),
-            "canonicalization_seconds": round(self.canon_seconds, 6),
+            "canonicalization_seconds": round(canon_seconds, 6),
             # Worker canonicalization time is CPU summed across processes;
             # subtracting it from this process's wall-clock would fabricate
             # a split, so multi-process searches report no expansion figure.
             "expansion_seconds": (
                 None
                 if self.parallel_workers
-                else round(max(0.0, elapsed - self.canon_seconds), 6)
+                else round(max(0.0, elapsed - canon_seconds), 6)
             ),
         }
         stats["resume_level"] = self.resume_level
@@ -442,9 +445,11 @@ def verify(
         State budget: the search aborts cleanly once the budget is reached
         and returns a **partial** result (``result.partial`` /
         ``result.truncated`` set, counters and any found violation intact)
-        instead of running unbounded.  The parallel strategy enforces the
-        budget per frontier level, so its cut can land up to one level
-        earlier than the serial strategies'.
+        instead of running unbounded.  Without a checkpoint, serial BFS and
+        DFS explore exactly ``max_states`` states (BFS clips its last level
+        to the remaining budget, in per-state order); the parallel
+        engine enforces the budget per frontier level, so its cut can land
+        up to one level earlier.
     ``deadlock``
         Also report *workload deadlocks*: a canonically-reachable quiescent
         state whose caches still hold unissued workload budget but where no
@@ -493,10 +498,14 @@ def verify(
         ``max_states`` budget it saves its frontier, store links and
         counters there (atomically); a later ``verify`` call with the same
         configuration and the same path resumes where it stopped -- under a
-        fresh budget -- and the completed search reports counters, verdict
-        and trace identical to an uninterrupted run.  A completed (non-
-        partial) search deletes the file.  A checkpoint written by a
-        different configuration raises
+        fresh budget -- and the completed chain reports counters, verdict
+        and trace identical to an uninterrupted run.  With a checkpoint,
+        every BFS leg stops at a level boundary (the level that would cross
+        the budget is saved unexpanded), so a budgeted leg may explore
+        fewer than ``max_states`` states; DFS saves its exact stack.  A
+        completed (non-partial) search deletes the file.  A checkpoint
+        written by a different configuration or payload version, or one
+        that is truncated or corrupted, raises
         :class:`~repro.verification.engine.checkpoint.CheckpointMismatch`.
     ``spill_dir``
         Directory where the parallel engine's worker shards may spill cold

@@ -42,7 +42,15 @@ and nobody waits on a static partition:
   states past the serial stopping point; verdicts and traces stay valid
   (every stored chain to the failing state is a real counterexample).  On
   passing runs all exploration counts are schedule-independent and match
-  the serial strategies exactly.
+  the serial strategies exactly.  A worker that dies without reporting
+  (SIGKILL, the OOM killer) raises :class:`WorkerLost` naming it, its exit
+  code and the level; the parent never blocks on a dead worker.
+
+Workers expand through the same
+:class:`~repro.verification.engine.expand.Expander` as the serial
+searches, and the rounds run under the shared
+:func:`~repro.verification.engine.expand.drive_levels` loop, so budget
+clipping and checkpoint boundaries are those of every other BFS.
 
 Checkpoint/resume: at a round boundary the parent can ask every worker to
 dump its shard digests and write a ``mode="sharded"`` checkpoint; resuming
@@ -55,13 +63,14 @@ from __future__ import annotations
 
 import gc
 import struct
+import time
 import traceback
 from array import array
 from multiprocessing import shared_memory
-from time import perf_counter
+from multiprocessing.connection import wait
 
 from repro.verification.engine import checkpoint as checkpoint_mod
-from repro.verification.engine.canonical import canonicalizer_for
+from repro.verification.engine.expand import Expander, drive_levels
 from repro.verification.engine.shard import (
     DIGEST_BYTES,
     SpillableKeySet,
@@ -130,6 +139,20 @@ class _WorkerCrash(RuntimeError):
     """A worker process died; carries its traceback text."""
 
 
+class WorkerLost(RuntimeError):
+    """A worker process exited without reporting -- killed by a signal or
+    the OOM killer.  Names the worker, its exit code and the BFS level."""
+
+    def __init__(self, wid: int, exitcode, level):
+        super().__init__(
+            f"parallel worker {wid} was lost (exit code {exitcode}) "
+            f"at level {level}"
+        )
+        self.wid = wid
+        self.exitcode = exitcode
+        self.level = level
+
+
 # -- worker side ---------------------------------------------------------------
 
 
@@ -141,18 +164,13 @@ class _WorkerState:
          check_workload_deadlock, spill_dir, nworkers) = cfg
         self.wid = wid
         self.nworkers = nworkers
-        self.system = system
-        self.invariants = invariants
-        self.perms = perms
-        self.codes = kernel_codes
-        self.check_deadlock = check_deadlock
-        self.check_workload_deadlock = check_workload_deadlock
-        self.codec = system.codec()
-        self.kernel = system.kernel() if kernel_codes is not None else None
-        self.canonicalize = (
-            canonicalizer_for(self.codec, perms).canonicalize
-            if perms is not None
-            else None
+        # The owner phase checks states another worker will expand, so the
+        # object adapter must not keep them.
+        self.expander = Expander(
+            system, invariants, perms, kernel_codes,
+            check_deadlock=check_deadlock,
+            check_workload_deadlock=check_workload_deadlock,
+            memoize=False,
         )
         self.perm_index = (
             {perm: i for i, perm in enumerate(perms)}
@@ -161,7 +179,6 @@ class _WorkerState:
         )
         self.shard = SpillableKeySet(spill_dir, tag=f"w{wid}")
         self.shard.seed(seed_blob, nworkers, wid)
-        self.raw_seen: set = set()
         self.emitted: set = set()
         self.bucket_arena = _Arena()
         self.accepted_arena = _Arena()
@@ -172,9 +189,13 @@ class _WorkerState:
         self.shard.close()
 
 
-def _worker_main(wid, cfg, ctrl, results, claim, claim_lock, seed_blob):
+def _worker_main(wid, cfg, ctrl, writers, claim, claim_lock, seed_blob):
     """Worker loop: expand -> dedup -> (dump|expand|...) until "stop"."""
     gc.disable()
+    results = writers[wid]
+    for other in writers:  # keep only our own result pipe open
+        if other is not results:
+            other.close()
     ws = _WorkerState(wid, cfg, seed_blob)
     del seed_blob  # parent's copy serves resumes; drop the fork duplicate
     try:
@@ -186,12 +207,12 @@ def _worker_main(wid, cfg, ctrl, results, claim, claim_lock, seed_blob):
             elif op == "dedup":
                 _worker_dedup(ws, msg, results)
             elif op == "dump":
-                results.put(("dump", wid, ws.shard.dump()))
+                results.send(("dump", wid, ws.shard.dump()))
             elif op == "stop":
                 break
     except Exception:  # pragma: no cover - surfaced as _WorkerCrash in parent
         try:
-            results.put(("crash", wid, traceback.format_exc()))
+            results.send(("crash", wid, traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -210,28 +231,27 @@ def _encode_record(item, plan_ord, perm_idx, eev, digest, key) -> bytes:
 def _worker_expand(ws, msg, results, claim, claim_lock):
     """Claim chunks of the round's frontier and expand them.
 
-    Candidate successors are canonicalized, packed, digested and bucketed
-    per owning shard; successors this worker already knows (own shard) or
-    already emitted (bounded cache) never leave the process.  Errors and
-    deadlock leaves become failure candidates tagged with their
-    ``(frontier position, plan ordinal)`` so the parent can pick the round's
-    serial-order minimum.
+    Candidate successors are canonicalized (by the shared expander),
+    packed, digested and bucketed per owning shard; successors this worker
+    already knows (own shard) or already emitted (bounded cache) never
+    leave the process.  Errors and deadlock leaves become failure
+    candidates tagged with their ``(frontier position, plan ordinal)`` so
+    the parent can pick the round's serial-order minimum.
     """
     _op, arena_name, count, chunk = msg
     wid = ws.wid
     nworkers = ws.nworkers
-    codec = ws.codec
-    kernel = ws.kernel
-    system = ws.system
-    canonicalize = ws.canonicalize
+    ex = ws.expander
+    codec = ex.codec
+    enabled = ex.kernel.enabled
+    successors = ex.successors
     perm_index = ws.perm_index
     shard = ws.shard
-    raw_seen = ws.raw_seen
     emitted = ws.emitted
     unpack = codec.unpack
     pack = codec.pack
     decode_base = codec.decode_count
-    canon_seconds = 0.0
+    canon_base = ex.canon_seconds
     buckets = [bytearray() for _ in range(nworkers)]
     failures: list = []
     applied = 0
@@ -253,106 +273,37 @@ def _worker_expand(ws, msg, results, claim, claim_lock):
                 expanded += 1
                 off = offsets[i]
                 _sid, klen = struct.unpack_from(_IN_HEADER, buf, off)
-                key = bytes(buf[off + _IN_HEADER_SIZE : off + _IN_HEADER_SIZE + klen])
-                if kernel is not None:
-                    enc = unpack(key)
-                    plans, net = kernel.enabled(enc)
-                    if not plans:
-                        if kernel.is_quiescent(enc):
-                            if ws.check_workload_deadlock and kernel.workload_remaining(enc):
-                                failures.append((i, -1, "dead", None))
-                            else:
-                                complete += 1
-                        elif ws.check_deadlock:
-                            failures.append((i, -1, "dead", None))
+                pos = off + _IN_HEADER_SIZE
+                enc = unpack(bytes(buf[pos : pos + klen]))
+                plans, net = enabled(enc)
+                if not plans:
+                    kind = ex.leaf(enc)
+                    if kind == "complete":
+                        complete += 1
+                    elif kind == "dead":
+                        failures.append((i, -1, "dead", None))
+                    continue
+                for plan_ord, eev, succ, perm in successors(enc, plans, net):
+                    if succ is None:  # perm carries the error message
+                        applied += plan_ord + 1
+                        failures.append((i, plan_ord, "err", (eev, perm)))
+                        break
+                    skey = pack(succ)
+                    digest = digest128(skey)
+                    if digest in emitted:
                         continue
-                    for plan_ord, plan in enumerate(plans):
-                        applied += 1
-                        eev = plan[1]
-                        succ = plan[0](enc, plan, net)
-                        if succ is None:
-                            outcome = system.apply(
-                                codec.decode(enc), codec.decode_event(eev)
-                            )
-                            if outcome.error is not None:
-                                failures.append(
-                                    (i, plan_ord, "err", (eev, outcome.error))
-                                )
-                                break
-                            succ = codec.encode(outcome.state)
-                        perm_idx = _NO_PERM
-                        if canonicalize is not None:
-                            grown = len(raw_seen) + 1
-                            raw_seen.add(succ)
-                            if len(raw_seen) != grown:
-                                continue
-                            if grown >= _EMITTED_LIMIT:
-                                raw_seen.clear()
-                            t0 = perf_counter()
-                            succ, perm = canonicalize(succ)
-                            canon_seconds += perf_counter() - t0
-                            perm_idx = perm_index[perm]
-                        skey = pack(succ)
-                        digest = digest128(skey)
-                        if digest in emitted:
-                            continue
-                        owner = shard_of(digest, nworkers)
-                        if owner == wid and digest in shard:
-                            continue
-                        if len(emitted) >= _EMITTED_LIMIT:
-                            emitted.clear()
-                        emitted.add(digest)
-                        buckets[owner] += _encode_record(
-                            i, plan_ord, perm_idx, eev, digest, skey
-                        )
+                    owner = shard_of(digest, nworkers)
+                    if owner == wid and digest in shard:
+                        continue
+                    if len(emitted) >= _EMITTED_LIMIT:
+                        emitted.clear()
+                    emitted.add(digest)
+                    buckets[owner] += _encode_record(
+                        i, plan_ord, perm_index.get(perm, _NO_PERM), eev,
+                        digest, skey,
+                    )
                 else:
-                    state = codec.decode_packed(key)
-                    events = system.enabled_events(state)
-                    if not events:
-                        if system.is_quiescent(state):
-                            if ws.check_workload_deadlock and not system.is_complete(state):
-                                failures.append((i, -1, "dead", None))
-                            else:
-                                complete += 1
-                        elif ws.check_deadlock:
-                            failures.append((i, -1, "dead", None))
-                        continue
-                    for plan_ord, event in enumerate(events):
-                        applied += 1
-                        outcome = system.apply(state, event)
-                        if outcome.error is not None:
-                            failures.append((
-                                i, plan_ord, "err",
-                                (codec.encode_event(event), outcome.error),
-                            ))
-                            break
-                        enc = codec.encode(outcome.state)
-                        perm_idx = _NO_PERM
-                        if canonicalize is not None:
-                            grown = len(raw_seen) + 1
-                            raw_seen.add(enc)
-                            if len(raw_seen) != grown:
-                                continue
-                            if grown >= _EMITTED_LIMIT:
-                                raw_seen.clear()
-                            t0 = perf_counter()
-                            enc, perm = canonicalize(enc)
-                            canon_seconds += perf_counter() - t0
-                            perm_idx = perm_index[perm]
-                        skey = pack(enc)
-                        digest = digest128(skey)
-                        if digest in emitted:
-                            continue
-                        owner = shard_of(digest, nworkers)
-                        if owner == wid and digest in shard:
-                            continue
-                        if len(emitted) >= _EMITTED_LIMIT:
-                            emitted.clear()
-                        emitted.add(digest)
-                        buckets[owner] += _encode_record(
-                            i, plan_ord, perm_idx,
-                            codec.encode_event(event), digest, skey,
-                        )
+                    applied += len(plans)
     finally:
         offsets.release()
         del buf
@@ -365,14 +316,14 @@ def _worker_expand(ws, msg, results, claim, claim_lock):
     for bucket in buckets:
         spans.append((pos, len(bucket)))
         pos += len(bucket)
-    results.put((
+    results.send((
         "expanded", ws.wid, out.name, spans, failures,
         {
             "applied": applied,
             "expanded": expanded,
             "complete": complete,
             "chunks": chunks,
-            "canon_seconds": canon_seconds,
+            "canon_seconds": ex.canon_seconds - canon_base,
             "decodes": codec.decode_count - decode_base,
         },
     ))
@@ -382,18 +333,17 @@ def _worker_dedup(ws, msg, results):
     """Owner phase: dedup this worker's bucket column, check invariants.
 
     Walks every producer's bucket for this shard in producer order, accepts
-    records whose digest is genuinely new (inserting it), evaluates the
-    compiled invariant codes on each accepted state (object invariants when
-    running the object backend), and republishes the accepted records
+    records whose digest is genuinely new (inserting it), checks each
+    accepted state through the backend's ``check`` (the exact violation
+    report only when it fails), and republishes the accepted records
     verbatim for the parent's ID assignment.
     """
     _op, directory = msg
     wid = ws.wid
-    codec = ws.codec
-    kernel = ws.kernel
-    codes = ws.codes
-    system = ws.system
-    invariants = ws.invariants
+    ex = ws.expander
+    codec = ex.codec
+    check = ex.kernel.check
+    codes = ex.codes
     shard = ws.shard
     unpack = codec.unpack
     decode_base = codec.decode_count
@@ -424,21 +374,8 @@ def _worker_dedup(ws, msg, results):
                     continue
                 shard.add(digest)
                 key = bytes(buf[eev_end:key_end])
-                violation = None
-                if kernel is not None:
-                    enc = unpack(key)
-                    if not kernel.check(enc, codes):
-                        state = codec.decode(enc)
-                        for invariant in invariants:
-                            violation = invariant(system, state)
-                            if violation is not None:
-                                break
-                else:
-                    state = codec.decode_packed(key)
-                    for invariant in invariants:
-                        violation = invariant(system, state)
-                        if violation is not None:
-                            break
+                enc = unpack(key)
+                violation = None if check(enc, codes) else ex.violation(enc)
                 if violation is not None:
                     eev = tuple(struct.unpack_from(f"<{eev_len}i", buf, pos))
                     failures.append(
@@ -454,7 +391,7 @@ def _worker_dedup(ws, msg, results):
             shm.close()
     out = ws.accepted_arena.ensure(len(accepted))
     out.buf[: len(accepted)] = accepted
-    results.put((
+    results.send((
         "deduped", wid, out.name, len(accepted), n_accepted, failures,
         {
             "decodes": codec.decode_count - decode_base,
@@ -477,10 +414,17 @@ class ShmEngine:
         self.claim = mp_ctx.RawValue("q", 0)
         self.claim_lock = mp_ctx.Lock()
         self.ctrl = [mp_ctx.SimpleQueue() for _ in range(processes)]
-        self.results = mp_ctx.SimpleQueue()
+        #: One ``(reader, writer)`` result pipe per worker; after the fork
+        #: only the worker holds its writer, so a dead worker reads as EOF.
+        self.results = [mp_ctx.Pipe(duplex=False) for _ in range(processes)]
         self.procs: list = []
         self.input_arena = _Arena()
         self._spill_by_worker = [0] * processes
+        #: Arena names each worker published (shutdown unlinks the ones a
+        #: dead worker could not destroy itself).
+        self._arenas: list[set] = [set() for _ in range(processes)]
+        #: BFS level of the round in progress (named by WorkerLost).
+        self.level: int | None = None
 
     # -- lifecycle -------------------------------------------------------------
     def spinup(self, *, seed_keys=None, seed_blobs=None) -> None:
@@ -517,30 +461,58 @@ class ShmEngine:
             ctx.spill_dir,
             self.nworkers,
         )
+        writers = [writer for _reader, writer in self.results]
         for wid in range(self.nworkers):
             proc = self.mp.Process(
                 target=_worker_main,
-                args=(wid, cfg, self.ctrl[wid], self.results,
+                args=(wid, cfg, self.ctrl[wid], writers,
                       self.claim, self.claim_lock, seed_blob),
                 daemon=True,
             )
             proc.start()
             self.procs.append(proc)
+        for writer in writers:
+            writer.close()
         ctx.parallel_workers = self.nworkers
         ctx.worker_states = [0] * self.nworkers
 
     def shutdown(self) -> None:
+        """Stop and reap every worker, then destroy the arenas.
+
+        Result pipes are drained while waiting, so no worker stays blocked
+        mid-send; a worker that died without cleaning up (lost, or killed
+        here as a backstop) has its last published arenas unlinked.
+        """
         for queue in self.ctrl:
             try:
                 queue.put(("stop",))
             except Exception:  # pragma: no cover - worker already gone
                 pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-        for proc in self.procs:  # pragma: no cover - hung worker backstop
-            if proc.is_alive():
+        live = {proc.sentinel: proc for proc in self.procs}
+        readers = [reader for reader, _writer in self.results]
+        deadline = time.monotonic() + 10
+        while live and time.monotonic() < deadline:
+            for handle in wait(readers + list(live),
+                               timeout=deadline - time.monotonic()):
+                if handle in live:
+                    del live[handle]
+                    continue
+                try:
+                    handle.recv()
+                except (EOFError, OSError):
+                    readers.remove(handle)
+        for wid, proc in enumerate(self.procs):
+            if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.terminate()
-                proc.join(timeout=2)
+            proc.join(timeout=2)
+            if proc.exitcode != 0:
+                for name in self._arenas[wid]:
+                    try:
+                        orphan = _attach(name)
+                    except FileNotFoundError:
+                        continue
+                    orphan.close()
+                    orphan.unlink()
         self.procs = []
         self.input_arena.destroy()
 
@@ -548,54 +520,53 @@ class ShmEngine:
     def drive(self, frontier, level: int):
         """Run rounds until the frontier drains, the budget hits, or a
         failure surfaces; returns the search's VerificationResult."""
-        ctx = self.ctx
-        while frontier:
-            remaining = ctx.max_states - ctx.explored
-            over_budget = remaining <= 0
-            if not over_budget and len(frontier) > remaining:
-                if ctx.checkpoint_path is not None:
-                    # Budgeted-with-checkpoint: stop at the round boundary
-                    # (save the level unclipped) so the resumed search
-                    # explores the identical level sequence.
-                    over_budget = True
-                else:
-                    ctx.truncated = True
-                    frontier = frontier[:remaining]
-            if over_budget:
-                ctx.truncated = True
-                if ctx.checkpoint_path is not None:
-                    self._save_checkpoint(frontier, level)
-                break
-            ctx.explored += len(frontier)
-            frontier, failure = self._round(frontier)
-            if failure is not None:
-                return failure
-            level += 1
-        return ctx.success()
+        return drive_levels(self.ctx, frontier, level, self._round,
+                            self._save_checkpoint)
 
     def _broadcast(self, msg) -> None:
         for queue in self.ctrl:
             queue.put(msg)
 
     def _collect(self, kind: str) -> list:
-        """Gather one *kind* message per worker (crashes surface here)."""
+        """Gather one *kind* message per worker.
+
+        Waits on the result pipes and the worker sentinels together (no
+        timeout polling), so a worker that dies without reporting --
+        SIGKILL, the OOM killer -- raises :class:`WorkerLost` instead of
+        hanging the parent; in-worker exceptions surface as crashes.
+        """
         out = [None] * self.nworkers
-        pending = self.nworkers
+        pending = {}
+        for wid, proc in enumerate(self.procs):
+            pending[self.results[wid][0]] = pending[proc.sentinel] = wid
         while pending:
-            msg = self.results.get()
-            if msg[0] == "crash":
-                raise _WorkerCrash(
-                    f"parallel worker {msg[1]} crashed:\n{msg[2]}"
-                )
-            if msg[0] != kind:  # pragma: no cover - protocol violation
-                raise RuntimeError(f"unexpected worker message {msg[0]!r}")
-            out[msg[1]] = msg
-            pending -= 1
+            for handle in wait(list(pending)):
+                wid = pending.get(handle)
+                if wid is None:  # both handles of one worker were ready
+                    continue
+                reader = self.results[wid][0]
+                proc = self.procs[wid]
+                try:
+                    msg = reader.recv()
+                except (EOFError, OSError):
+                    proc.join(timeout=1)
+                    raise WorkerLost(wid, proc.exitcode, self.level) from None
+                del pending[reader], pending[proc.sentinel]
+                if msg[0] == "crash":
+                    raise _WorkerCrash(
+                        f"parallel worker {wid} crashed:\n{msg[2]}"
+                    )
+                if msg[0] != kind:  # pragma: no cover - protocol violation
+                    raise RuntimeError(f"unexpected worker message {msg[0]!r}")
+                out[wid] = msg
         return out
 
-    def _round(self, frontier):
-        """One expand/dedup/absorb round over *frontier*."""
+    def _round(self, frontier, level: int):
+        """One expand/dedup/absorb round over *frontier*; returns
+        ``(next_frontier, failure)``."""
         ctx = self.ctx
+        self.level = level
+        ctx.explored += len(frontier)
         nworkers = self.nworkers
         count = len(frontier)
         round_sids = [sid for sid, _key in frontier]
@@ -625,11 +596,12 @@ class ShmEngine:
         failures: list = []
         round_chunks = 0
         for msg in expanded:
-            _kind, wid, _name, _spans, worker_failures, stats = msg
+            _kind, wid, name, _spans, worker_failures, stats = msg
+            self._arenas[wid].add(name)
             failures.extend(worker_failures)
             ctx.transitions += stats["applied"]
             ctx.complete_states += stats["complete"]
-            ctx.canon_seconds += stats["canon_seconds"]
+            ctx.expander.canon_seconds += stats["canon_seconds"]
             ctx.worker_decodes += stats["decodes"]
             ctx.worker_states[wid] += stats["expanded"]
             round_chunks += stats["chunks"]
@@ -650,6 +622,7 @@ class ShmEngine:
         perms = ctx.perms
         for msg in deduped:
             _kind, wid, name, blob_len, n_accepted, worker_failures, stats = msg
+            self._arenas[wid].add(name)
             failures.extend(worker_failures)
             ctx.worker_decodes += stats["decodes"]
             self._spill_by_worker[wid] = stats["spill_bytes"]
@@ -720,4 +693,4 @@ class ShmEngine:
         )
 
 
-__all__ = ["ShmEngine"]
+__all__ = ["ShmEngine", "WorkerLost"]

@@ -1,54 +1,42 @@
-"""Pluggable search strategies over the shared exploration context.
+"""Search strategies: drivers over one per-state expander.
 
-Three strategies are provided:
+Every search expands states through one
+:class:`~repro.verification.engine.expand.Expander` -- plans, apply,
+raw-seen skip, canonicalize, written once -- over whichever transition
+backend ``verify(..., kernel=...)`` resolved: the compiled kernel
+(:mod:`repro.system.kernel`, encoded states end to end, nothing decoded
+until a failure is reported) or the object executor behind the same
+interface (:class:`~repro.verification.engine.expand.ObjectKernel`, for
+``System`` subclasses and custom invariants).  The vectorized kernel
+(:mod:`repro.system.vectorized`) expands whole BFS levels as NumPy batches
+and replays a level it cannot express through the same per-state visit.
 
-* :class:`BreadthFirst` -- the default; identical exploration order (and,
-  with symmetry off, identical state counts) to the seed explorer, and the
-  shortest counterexamples.
-* :class:`DepthFirst` -- LIFO frontier; explores the same state set and
-  reports the same verdicts, typically finding *some* counterexample sooner
-  at the cost of longer traces.
-* :class:`ParallelBreadthFirst` -- level-synchronous BFS over the
-  **shared-memory worker engine**
-  (:mod:`repro.verification.engine.parallel`).  Narrow levels expand
-  in-process; the first level wide enough forks persistent workers, after
-  which frontiers travel as zero-copy shared-memory arenas of packed
-  encodings, workers claim chunks off a shared cursor (work-stealing)
-  instead of receiving static shards, and the visited set lives sharded
-  across the workers keyed by the 128-bit hash-compaction digest
-  (optionally spilling cold partitions to disk).  The parent keeps no key
-  dict at all past spin-up -- it only appends columnar trace links
-  (:meth:`~repro.verification.engine.store.StateStore.append_link`) -- so
-  counterexample traces work exactly as in the serial strategies while the
-  parent's per-state footprint stays flat.  Falls back to serial BFS when
-  ``fork`` is unavailable or fewer than two workers are requested.  Around
-  the ``max_states`` bound the explored-state count may differ from the
-  serial strategies by up to one frontier level (the bound is enforced per
-  level, not per state).
+The strategies are **drivers**: they decide only where frontiers live and
+who dedups.
 
-Every strategy runs on one of two **transition backends**, chosen by
-``verify(..., kernel=...)`` and carried on the exploration context:
+* :class:`BreadthFirst` -- the default; level-synchronous BFS through
+  :func:`~repro.verification.engine.expand.drive_levels` (shortest
+  counterexamples; with symmetry off, the seed explorer's exact counts).
+* :class:`DepthFirst` -- a LIFO stack of the same per-state visits; explores
+  the same state set and verdicts and usually reaches a bug in far fewer
+  states, at the cost of longer traces.
+* :class:`ParallelBreadthFirst` -- runs the serial BFS driver until a level
+  exceeds :data:`POOL_SPINUP_FRONTIER`, then hands the packed frontier to
+  the **shared-memory worker engine**
+  (:class:`~repro.verification.engine.parallel.ShmEngine`): zero-copy
+  frontier arenas, work-stealing chunk claims and a digest-sharded visited
+  set, with the parent keeping only columnar trace links.  Falls back to
+  serial BFS when ``fork`` is unavailable or fewer than two workers are
+  requested.
 
-* the **compiled kernel** (default; :mod:`repro.system.kernel`) expands
-  encoded states end-to-end -- enabled events, successors, quiescence and
-  invariant verdicts all computed on flat int tuples, with the frontier
-  carrying encodings and the store interning packed bytes.  States and
-  events decode lazily, only to report a failure (the object executor then
-  reproduces the exact error/violation text as the differential oracle);
-* the **object backend** interprets ``System.apply`` over dataclass trees
-  (the pre-compilation behaviour), used for ``System`` subclasses and
-  custom invariants.
-
-Both backends visit the same states in the same order and report
-identically-shaped results.
+All strategies report identically-shaped results; on passing searches
+every backend and strategy explores the same states and transitions.
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
-from collections import deque
 from time import perf_counter
 
 from repro.verification.engine import checkpoint as checkpoint_mod
@@ -57,220 +45,8 @@ from repro.verification.engine.canonical import (
     _tie_break_encoded,
     canonicalizer_for,
 )
+from repro.verification.engine.expand import RAW_SEEN_LIMIT, drive_levels
 from repro.verification.engine.parallel import ShmEngine
-
-#: Bound on the raw-successor dedup sets of the symmetry-reduced searches: a
-#: raw successor reached twice maps to the same canonical representative, so
-#: its second occurrence can skip canonicalize/pack/intern entirely (~38 % of
-#: transitions on the reference MSI workload).  The set is an optimization
-#: only -- clearing it when full merely re-pays the canonicalization, so the
-#: bound caps memory without affecting any count or verdict.
-_RAW_SEEN_LIMIT = 1 << 19
-
-# -- worker-process state (populated via fork + Pool initializer) --------------
-
-_WORKER: tuple | None = None
-
-
-def _init_worker(system, invariants, perms, kernel_codes) -> None:
-    """Install the per-process search context (runs once per worker).
-
-    The codec (and compiled kernel, when *kernel_codes* is not ``None``) is
-    (re)built here rather than inherited so each worker owns private memo
-    tables; with the ``fork`` start method the system and invariants arrive
-    by address-space inheritance, never by pickling.
-    """
-    global _WORKER
-    # Workers inherit the parent's paused GC via fork only on the first
-    # level; disabling here keeps collection off for the pool's lifetime
-    # (the expansion hot path allocates cycle-free data exclusively).
-    gc.disable()
-    kernel = system.kernel() if kernel_codes is not None else None
-    _WORKER = (
-        system,
-        invariants,
-        perms,
-        system.codec(),
-        set(),  # canonical packed keys this worker has emitted
-        kernel,
-        kernel_codes,
-        set(),  # raw successor encodings (pre-canonicalization dedup)
-    )
-
-
-def _leaf_record(sid, quiescent, stuck):
-    return ("leaf", sid, quiescent, stuck)
-
-
-def _expand_batch(batch):
-    """Expand a batch of ``(state_id, packed_encoding)`` pairs in a worker.
-
-    Returns ``(records, canon_seconds, decode_count)`` — the records (one
-    per state, in input order), the wall-clock this batch spent inside
-    canonicalization, and the number of ``GlobalState`` decodes it performed
-    (both feed ``VerificationResult.stats``).  Records are:
-
-    * ``("leaf", sid, quiescent, stuck)`` -- no enabled events; ``stuck``
-      flags a quiescent state that still holds unissued workload budget
-      (the ``deadlock=True`` report);
-    * ``("exp", sid, applied, succs, err, vio)`` -- ``succs`` is a list of
-      pre-interned-at-the-source ``(encoded_event, packed_successor, perm)``
-      triples ready for the parent's batch intern, ``err`` is ``None`` or
-      ``(encoded_event, error_message)`` for an event whose application
-      failed (expansion of that state stops there, as in the serial
-      search), and ``vio`` is ``None`` or ``(index, violation)`` naming the
-      first successor in ``succs`` that violates an invariant.
-
-    De-duplication is persistent per worker: the seen-set carries over
-    between levels, so a canonical state this worker has emitted in *any*
-    earlier batch crosses the process boundary exactly once.  The parent's
-    intern loop would have discarded the duplicates anyway (``is_new=False``);
-    suppressing them at the source amortizes the IPC.  ``applied`` still
-    counts every applied event, so transition counts match the serial
-    strategies.
-    """
-    if _WORKER[5] is not None:
-        return _expand_batch_compiled(batch)
-    system, invariants, perms, codec, seen, _, _, raw_seen = _WORKER
-    identity = perms[0] if perms is not None else None
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    decode_base = codec.decode_count
-    canon_seconds = 0.0
-    decode_packed = codec.decode_packed
-    encode = codec.encode
-    pack = codec.pack
-    encode_event = codec.encode_event
-    records = []
-    for sid, key in batch:
-        state = decode_packed(key)
-        events = system.enabled_events(state)
-        if not events:
-            quiescent = system.is_quiescent(state)
-            stuck = quiescent and not system.is_complete(state)
-            records.append(_leaf_record(sid, quiescent, stuck))
-            continue
-        succs = []
-        err = None
-        vio = None
-        applied = 0
-        for event in events:
-            applied += 1
-            outcome = system.apply(state, event)
-            if outcome.error is not None:
-                err = (encode_event(event), outcome.error)
-                break
-            enc = encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                # set.add + length check = one hash: a no-growth add means
-                # this raw successor was canonicalized (and emitted or
-                # suppressed) before.
-                grown = len(raw_seen) + 1
-                raw_seen.add(enc)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                enc, perm = canonicalize(enc)
-                canon_seconds += perf_counter() - start
-            successor_key = pack(enc)
-            if successor_key in seen:
-                # Invariants are functions of the state alone, so the first
-                # emission already carried this state's verdict.
-                continue
-            seen.add(successor_key)
-            if vio is None:
-                successor = (
-                    outcome.state
-                    if perm is None or perm == identity
-                    else codec.decode(enc)
-                )
-                for invariant in invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        vio = (len(succs), violation)
-                        break
-            succs.append((encode_event(event), successor_key, perm))
-        records.append(("exp", sid, applied, succs, err, vio))
-    return records, canon_seconds, codec.decode_count - decode_base
-
-
-def _slow_outcome(system, codec, enc, eev):
-    """The object-executor outcome for one event the kernel flagged.
-
-    The compiled kernel returns ``None`` instead of reproducing error
-    behaviour; replaying the single event through ``System.apply`` yields
-    the exact seed-identical error outcome (or, for benign corner cases, the
-    successor state) -- the object executor is the oracle.
-    """
-    return system.apply(codec.decode(enc), codec.decode_event(eev))
-
-
-def _expand_batch_compiled(batch):
-    """Compiled-kernel twin of :func:`_expand_batch`: states stay encoded."""
-    system, invariants, perms, codec, seen, kernel, codes, raw_seen = _WORKER
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    decode_base = codec.decode_count
-    canon_seconds = 0.0
-    unpack = codec.unpack
-    pack = codec.pack
-    records = []
-    for sid, key in batch:
-        enc = unpack(key)
-        plans, net = kernel.enabled(enc)
-        if not plans:
-            quiescent = kernel.is_quiescent(enc)
-            stuck = quiescent and kernel.workload_remaining(enc)
-            records.append(_leaf_record(sid, quiescent, stuck))
-            continue
-        succs = []
-        err = None
-        vio = None
-        applied = 0
-        for plan in plans:
-            applied += 1
-            eev = plan[1]
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, eev)
-                if outcome.error is not None:
-                    err = (eev, outcome.error)
-                    break
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    # Canonicalized (and emitted or suppressed) before.
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                succ, perm = canonicalize(succ)
-                canon_seconds += perf_counter() - start
-            successor_key = pack(succ)
-            if successor_key in seen:
-                continue
-            seen.add(successor_key)
-            if vio is None and not kernel.check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        vio = (len(succs), violation)
-                        break
-            succs.append((eev, successor_key, perm))
-        records.append(("exp", sid, applied, succs, err, vio))
-    return records, canon_seconds, codec.decode_count - decode_base
-
-
-# -- strategies ----------------------------------------------------------------
 
 
 class SearchStrategy:
@@ -282,295 +58,134 @@ class SearchStrategy:
         raise NotImplementedError
 
 
-def _run_serial(ctx, *, lifo: bool):
-    """Shared serial worklist search (FIFO = BFS, LIFO = DFS)."""
-    if ctx.vkernel is not None and not lifo:
-        return _run_vectorized(ctx)
-    if ctx.kernel is not None:
-        return _run_serial_compiled(ctx, lifo=lifo)
-    return _run_serial_object(ctx, lifo=lifo)
-
-
-def _run_serial_object(ctx, *, lifo: bool):
-    """Object-backend serial search (the differential oracle's loop).
-
-    The frontier holds decoded canonical state objects (expansion needs
-    them); the visited set holds only packed encodings.  With symmetry off
-    the raw successor *is* canonical, so no state is ever re-decoded; with
-    symmetry on, only genuinely new representatives that changed under
-    relabeling pay a decode.
-    """
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    perms = ctx.perms
-    identity = perms[0] if perms is not None else None
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    raw_seen: set | None = set() if canonicalize is not None else None
-    encode = codec.encode
-    pack = codec.pack
-    if ctx.resume is not None:
-        # A "deque" checkpoint is the exact mid-level worklist: resuming
-        # continues with the very next pop, bit-identically (IDs included).
-        decode_packed = codec.decode_packed
-        frontier: deque = deque(
-            (sid, decode_packed(key)) for sid, key in ctx.resume["frontier"]
-        )
-    else:
-        frontier = deque([ctx.root])
-    pop = frontier.pop if lifo else frontier.popleft
-    while frontier:
-        if ctx.explored >= ctx.max_states:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="deque",
-                    frontier=[(s, pack(encode(st))) for s, st in frontier],
-                    level=None,
-                )
-            break
-        sid, state = pop()
-        ctx.explored += 1
-        events = system.enabled_events(state)
-        if not events:
-            # A state with no enabled events is fine if nothing is actually
-            # outstanding (quiescent); otherwise it is a deadlock.  A
-            # quiescent state that still holds workload budget can never
-            # absorb it -- reported only under `deadlock=True`.
-            if system.is_quiescent(state):
-                if ctx.check_workload_deadlock and not system.is_complete(state):
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            continue
-        for event in events:
-            ctx.transitions += 1
-            outcome = system.apply(state, event)
-            if outcome.error is not None:
-                return ctx.failure(error=outcome.error, leaf_id=sid, final_event=event)
-            successor = outcome.state
-            enc = encode(successor)
-            perm = None
-            if canonicalize is not None:
-                # A raw successor seen before canonicalized to an interned
-                # representative then, so everything below would no-op (the
-                # add + length check costs a single tuple hash).
-                grown = len(raw_seen) + 1
-                raw_seen.add(enc)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = perf_counter()
-                enc, perm = canonicalize(enc)
-                ctx.canon_seconds += perf_counter() - start
-            new_id, is_new = store.intern(pack(enc), sid, event, perm)
-            if not is_new:
-                continue
-            if perm is not None and perm != identity:
-                successor = codec.decode(enc)
-            for invariant in ctx.invariants:
-                violation = invariant(system, successor)
-                if violation is not None:
-                    return ctx.failure(violation=violation, leaf_id=new_id)
-            frontier.append((new_id, successor))
-    return ctx.success()
-
-
-def _run_serial_compiled(ctx, *, lifo: bool):
-    """Compiled-kernel serial search: the frontier and the visited set both
-    hold encodings; nothing decodes until a failure is reported (asserted by
-    the codec's ``decode_count`` instrumentation)."""
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    perms = ctx.perms
-    kernel = ctx.kernel
-    codes = ctx.kernel_codes
-    canonicalize = (
-        canonicalizer_for(codec, perms).canonicalize if perms is not None else None
-    )
-    raw_seen: set | None = set() if canonicalize is not None else None
-    timer = perf_counter
-    pack = codec.pack
-    intern = store.intern
-    enabled = kernel.enabled
-    check = kernel.check
-    if ctx.resume is not None:
-        # Exact mid-level worklist: the resumed search is bit-identical to
-        # an uninterrupted one (IDs, counts, verdict, trace).
-        unpack = codec.unpack
-        frontier: deque = deque(
-            (sid, unpack(key)) for sid, key in ctx.resume["frontier"]
-        )
-    else:
-        frontier = deque([(ctx.root[0], ctx.root_enc)])
-    pop = frontier.pop if lifo else frontier.popleft
-    while frontier:
-        if ctx.explored >= ctx.max_states:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="deque",
-                    frontier=[(s, pack(e)) for s, e in frontier],
-                    level=None,
-                )
-            break
-        sid, enc = pop()
-        ctx.explored += 1
-        plans, net = enabled(enc)
-        if not plans:
-            if kernel.is_quiescent(enc):
-                if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            continue
-        for plan in plans:
-            ctx.transitions += 1
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, plan[1])
-                if outcome.error is not None:
-                    return ctx.failure(
-                        error=outcome.error,
-                        leaf_id=sid,
-                        final_event=codec.decode_event(plan[1]),
-                    )
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                # A raw successor seen before canonicalized to an interned
-                # representative then, so everything below would no-op (the
-                # add + length check costs a single tuple hash).
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = timer()
-                succ, perm = canonicalize(succ)
-                ctx.canon_seconds += timer() - start
-            new_id, is_new = intern(pack(succ), sid, plan[1], perm)
-            if not is_new:
-                continue
-            if not check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        return ctx.failure(violation=violation, leaf_id=new_id)
-            frontier.append((new_id, succ))
-    return ctx.success()
-
-
-def _vectorized_leaf(ctx, leaf, F, sids, vk):
-    """Leaf handling for one zero-plan row of a vectorized level; mirrors
-    the serial loops' quiescence/deadlock branch exactly."""
-    _seq, state_id, pos = leaf
-    kernel = ctx.kernel
-    enc = tuple(F[pos].tolist()) + vk.section_tail(sids[pos])
-    if kernel.is_quiescent(enc):
-        if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-            return ctx.failure(deadlock=True, leaf_id=state_id)
+def _leaf(ctx, sid, enc):
+    """Account for a state with no enabled events; a failure or None."""
+    kind = ctx.expander.leaf(enc)
+    if kind == "complete":
         ctx.complete_states += 1
-        return None
-    if ctx.check_deadlock:
-        return ctx.failure(deadlock=True, leaf_id=state_id)
+    elif kind == "dead":
+        return ctx.failure(deadlock=True, leaf_id=sid)
     return None
 
 
-def _expand_level_serial(ctx, ids, prefixes, sids, raw_seen, canonicalize):
-    """Replay one frontier level through the compiled per-state loop.
+def _visitor(ctx):
+    """The serial per-state step: ``visit(sid, enc, out)`` expands *enc*,
+    interns its successors, checks the new ones and appends them to *out*
+    as ``(id, encoding)``; returns a failure result or None.
 
-    The vectorized driver routes a whole level here whenever *any* of its
-    rows needs the slow path (unexpected message, ambiguous guards, object
-    errors): re-running the complete level with the exact
-    :func:`_run_serial_compiled` body -- same row order, same per-plan
-    order, sharing the raw-successor dedup set with the batch path --
-    guarantees failures surface in the identical serial position.  Every
-    transition applied here counts as a fallback transition (pinned to zero
-    on the fault-free single-address hot path).  Returns ``(failure | None,
-    next_ids, next_prefixes, next_sids)``.
+    Shared by the BFS levels, the DFS stack and the vectorized driver's
+    fallback replay, so every serial search stops at the same (state, plan)
+    position with the same counters.
     """
-    system = ctx.system
-    codec = ctx.codec
-    store = ctx.store
-    kernel = ctx.kernel
-    codes = ctx.kernel_codes
-    vk = ctx.vkernel
-    timer = perf_counter
-    pack = codec.pack
-    intern = store.intern
+    ex = ctx.expander
+    kernel = ex.kernel
     enabled = kernel.enabled
     check = kernel.check
-    net_offset = vk.net_offset
-    section_tail = vk.section_tail
-    intern_section = vk.intern_section
-    next_ids: list = []
-    next_prefixes: list = []
-    next_sids: list = []
-    nxt = (None, next_ids, next_prefixes, next_sids)
-    for sid, prefix, sec in zip(ids, prefixes, sids):
-        enc = prefix + section_tail(sec)
+    codes = ex.codes
+    successors = ex.successors
+    intern = ctx.store.intern
+    pack = ctx.codec.pack
+
+    def visit(sid, enc, out):
         plans, net = enabled(enc)
         if not plans:
-            if kernel.is_quiescent(enc):
-                if ctx.check_workload_deadlock and kernel.workload_remaining(enc):
-                    return (ctx.failure(deadlock=True, leaf_id=sid),) + nxt[1:]
-                ctx.complete_states += 1
-                continue
-            if ctx.check_deadlock:
-                return (ctx.failure(deadlock=True, leaf_id=sid),) + nxt[1:]
-            continue
-        for plan in plans:
-            ctx.transitions += 1
-            ctx.fallback_transitions += 1
-            succ = plan[0](enc, plan, net)
-            if succ is None:
-                outcome = _slow_outcome(system, codec, enc, plan[1])
-                if outcome.error is not None:
-                    failure = ctx.failure(
-                        error=outcome.error,
-                        leaf_id=sid,
-                        final_event=codec.decode_event(plan[1]),
-                    )
-                    return (failure,) + nxt[1:]
-                succ = codec.encode(outcome.state)
-            perm = None
-            if canonicalize is not None:
-                grown = len(raw_seen) + 1
-                raw_seen.add(succ)
-                if len(raw_seen) != grown:
-                    continue
-                if grown >= _RAW_SEEN_LIMIT:
-                    raw_seen.clear()
-                start = timer()
-                succ, perm = canonicalize(succ)
-                ctx.canon_seconds += timer() - start
-            new_id, is_new = intern(pack(succ), sid, plan[1], perm)
+            return _leaf(ctx, sid, enc)
+        for k, eev, succ, perm in successors(enc, plans, net):
+            if succ is None:  # perm carries the error message
+                ctx.transitions += k + 1
+                return ctx.failure(error=perm, leaf_id=sid,
+                                   final_event=ctx.codec.decode_event(eev))
+            new_id, is_new = intern(pack(succ), sid, eev, perm)
             if not is_new:
                 continue
             if not check(succ, codes):
-                successor = codec.decode(succ)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        failure = ctx.failure(violation=violation, leaf_id=new_id)
-                        return (failure,) + nxt[1:]
-            next_ids.append(new_id)
-            next_prefixes.append(succ[:net_offset])
-            next_sids.append(intern_section(succ[net_offset:]))
-    return nxt
+                violation = ex.violation(succ)
+                if violation is not None:
+                    ctx.transitions += k + 1
+                    return ctx.failure(violation=violation, leaf_id=new_id)
+            out.append((new_id, succ))
+        ctx.transitions += len(plans)
+        return None
+
+    return visit
+
+
+def _serial_level(ctx):
+    """``expand_level`` for :func:`drive_levels` over ``(id, enc)`` lists."""
+    visit = _visitor(ctx)
+
+    def expand_level(frontier, depth):
+        nxt: list = []
+        for sid, enc in frontier:
+            ctx.explored += 1
+            failure = visit(sid, enc, nxt)
+            if failure is not None:
+                return None, failure
+        return nxt, None
+
+    return expand_level
+
+
+def _run_bfs(ctx, expand_level):
+    """Serial BFS from the root or a ``level`` checkpoint."""
+    codec = ctx.codec
+    if ctx.resume is not None:
+        unpack = codec.unpack
+        frontier = [(sid, unpack(key)) for sid, key in ctx.resume["frontier"]]
+    else:
+        frontier = [(ctx.root_id, ctx.root_enc)]
+    pack = codec.pack
+
+    def save(frontier, depth):
+        checkpoint_mod.save(
+            ctx, mode="level", level=depth,
+            frontier=[(sid, pack(enc)) for sid, enc in frontier],
+        )
+
+    return drive_levels(ctx, frontier, ctx.resume_level or 0, expand_level, save)
+
+
+def _run_dfs(ctx):
+    """DFS over a stack of encodings; checkpoints save the exact stack
+    (``mode="deque"``), so resuming continues with the very next pop."""
+    visit = _visitor(ctx)
+    codec = ctx.codec
+    if ctx.resume is not None:
+        stack = [(sid, codec.unpack(key)) for sid, key in ctx.resume["frontier"]]
+    else:
+        stack = [(ctx.root_id, ctx.root_enc)]
+    while stack:
+        if ctx.explored >= ctx.max_states:
+            ctx.truncated = True
+            if ctx.checkpoint_path is not None:
+                checkpoint_mod.save(
+                    ctx, mode="deque", level=None,
+                    frontier=[(sid, codec.pack(enc)) for sid, enc in stack],
+                )
+            break
+        sid, enc = stack.pop()
+        ctx.explored += 1
+        failure = visit(sid, enc, stack)
+        if failure is not None:
+            return failure
+    return ctx.success()
+
+
+class _Rows:
+    """A vectorized frontier level as :func:`drive_levels` sees it: state
+    IDs, the lane matrix of fixed-width prefixes and the network-section
+    IDs, sized and clipped together."""
+
+    __slots__ = ("ids", "F", "sids")
+
+    def __init__(self, ids, F, sids):
+        self.ids, self.F, self.sids = ids, F, sids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows):
+        return _Rows(self.ids[rows], self.F[rows], self.sids[rows])
 
 
 def _run_vectorized(ctx):
@@ -588,18 +203,19 @@ def _run_vectorized(ctx):
     *failing* search the level batching may intern/count up to one level
     beyond the serial stopping point (the verdict, the failing state ID and
     the trace still match exactly).  A level containing any row the batch
-    path cannot express replays wholesale through
-    :func:`_expand_level_serial`.
+    path cannot express replays wholesale through the serial visit (same
+    row order, same plan order, same raw-seen set), so failures surface in
+    the identical serial position.
     """
     vk = ctx.vkernel
-    system = ctx.system
+    ex = ctx.expander
     codec = ctx.codec
-    store = ctx.store
     perms = ctx.perms
-    kernel = ctx.kernel
     codes = ctx.kernel_codes
+    check = ex.kernel.check
+    canonicalize = ex.canonicalize
+    raw_seen = ex.raw_seen
     canonicalizer = canonicalizer_for(codec, perms) if perms is not None else None
-    canonicalize = canonicalizer.canonicalize if canonicalizer is not None else None
     # Batch canonicalization (one orbit classification per distinct cache-
     # block region per level instead of one canonicalize call per state)
     # relies on the sorted-signature argument, i.e. the full symmetric
@@ -610,74 +226,49 @@ def _run_vectorized(ctx):
         and len(perms) > 1
         and canonicalizer._full_group
     )
-    raw_seen: set | None = set() if canonicalize is not None else None
     timer = perf_counter
     pack = codec.pack
-    check = kernel.check
     np = vk.np
     net_offset = vk.net_offset
     intern_section = vk.intern_section
     sinfo = vk._section_info  # (tail, fake_enc, net, deliveries, packed_tail)
+    visit = _visitor(ctx)
     ctx.kernel_name = "vectorized"
-    if ctx.resume is not None:
-        # A "level" checkpoint holds a whole unexpanded frontier level;
-        # rebuild the lane matrix and section IDs from the packed keys.
-        unpack = codec.unpack
-        ids = []
-        prefixes = []
-        sids = []
-        for sid, key in ctx.resume["frontier"]:
-            enc = unpack(key)
+
+    def rows(pairs):
+        ids, prefixes, sids = [], [], []
+        for sid, enc in pairs:
             ids.append(sid)
             prefixes.append(enc[:net_offset])
             sids.append(intern_section(enc[net_offset:]))
-        F = np.asarray(prefixes, dtype=vk.dtype)
-        depth = ctx.resume_level
-    else:
-        root_enc = ctx.root_enc
-        ids = [ctx.root[0]]
-        F = np.asarray([root_enc[:net_offset]], dtype=vk.dtype)
-        sids = [intern_section(root_enc[net_offset:])]
-        depth = 0
-    while ids:
-        remaining = ctx.max_states - ctx.explored
-        over_budget = remaining <= 0
-        if not over_budget and len(ids) > remaining:
-            if ctx.checkpoint_path is not None:
-                # Stop at the level boundary (save the level unclipped) so
-                # the resumed search explores the identical level sequence
-                # and ends with an uninterrupted run's exact counters.
-                over_budget = True
-            else:
-                ctx.truncated = True
-                ids = ids[:remaining]
-                F = F[:remaining]
-                sids = sids[:remaining]
-        if over_budget:
-            ctx.truncated = True
-            if ctx.checkpoint_path is not None:
-                checkpoint_mod.save(
-                    ctx,
-                    mode="level",
-                    frontier=[
-                        (sid, pack(tuple(row) + sinfo[sec][0]))
-                        for sid, row, sec in zip(ids, F.tolist(), sids)
-                    ],
-                    level=depth,
-                )
-            break
+        return _Rows(ids, np.asarray(prefixes, dtype=vk.dtype), sids)
+
+    def save(lv, depth):
+        checkpoint_mod.save(
+            ctx, mode="level", level=depth,
+            frontier=[
+                (sid, pack(tuple(row) + sinfo[sec][0]))
+                for sid, row, sec in zip(lv.ids, lv.F.tolist(), lv.sids)
+            ],
+        )
+
+    def expand_level(lv, depth):
+        ids, F, sids = lv.ids, lv.F, lv.sids
         level = vk.collect_level(ids, F, sids)
         ctx.explored += len(ids)
-        depth += 1
         if level.fallbacks:
-            prefixes = [tuple(row) for row in F.tolist()]
-            failure, ids, next_prefixes, sids = _expand_level_serial(
-                ctx, ids, prefixes, sids, raw_seen, canonicalize
-            )
+            before = ctx.transitions
+            out: list = []
+            failure = None
+            for sid, row, sec in zip(ids, F.tolist(), sids):
+                failure = visit(sid, tuple(row) + sinfo[sec][0], out)
+                if failure is not None:
+                    break
+            ctx.fallback_transitions += ctx.transitions - before
             if failure is not None:
-                return failure
-            F = np.asarray(next_prefixes, dtype=vk.dtype)
-            continue
+                failure.stats["fallback_transitions"] = ctx.fallback_transitions
+                return None, failure
+            return rows(out), None
         ctx.transitions += level.transitions
         ctx.vectorized_transitions += level.transitions
         ctx.expansion_batches += 1
@@ -687,10 +278,9 @@ def _run_vectorized(ctx):
         # raw dedup (keyed on the widened row bytes -- prefix lanes plus the
         # global section-ID lanes -- sliced in bulk from the matrix),
         # canonicalize, pack (no failure can occur here).  A raw successor
-        # whose canonical form is itself (``canonicalize`` returns the input
-        # tuple) builds its intern key from its prefix bytes plus the
-        # section's packed tail -- byte-identical to ``codec.pack`` --
-        # skipping the per-state repack entirely.
+        # that is its own canonical form builds its intern key from its
+        # prefix bytes plus the section's packed tail -- byte-identical to
+        # ``codec.pack`` -- skipping the per-state repack entirely.
         eevs = level.eevs
         out_sids = level.sids
         parent_pos = level.parent_pos
@@ -707,18 +297,12 @@ def _run_vectorized(ctx):
         # invariants are cache-permutation-symmetric (see check_level).
         level_ok = vk.check_level(V, codes)
         ok_list = level_ok.tolist() if level_ok is not None else None
-        entries: list = []
-        entry_encs: list = []  # canonical tuple, or None = raw (build lazily)
-        entry_us: list = []
-        entry_rows: list = []
-        entry_rsids: list = []  # canonical section ID, or -1 = intern later
         if batch_canon:
             # Orbit classification in bulk: one np.unique over the region
             # columns, one orbit_for per distinct never-seen region.
             d0 = vk.dir_offset
-            region_bytes = d0 * V.dtype.itemsize
             R = np.ascontiguousarray(V[:, :d0])
-            rb = R.view(np.dtype((np.void, region_bytes))).ravel()
+            rb = R.view(np.dtype((np.void, d0 * V.dtype.itemsize))).ravel()
             runiq, rfirst, rinv = np.unique(
                 rb, return_index=True, return_inverse=True
             )
@@ -734,34 +318,33 @@ def _run_vectorized(ctx):
                 recs.append(rec)
             rinv_list = rinv.tolist()
             identity = canonicalizer.identity
-            for j, u in enumerate(order_list):
+        entries: list = []
+        entry_encs: list = []  # canonical tuple, or None = raw (build lazily)
+        entry_us: list = []
+        entry_rows: list = []
+        entry_rsids: list = []  # canonical section ID, or -1 = intern later
+        for j, u in enumerate(order_list):
+            sid2 = out_sids[u]
+            perm = None
+            enc = None
+            relabeled = False
+            if canonicalize is not None:
                 grown = len(raw_seen) + 1
                 raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
                 if len(raw_seen) != grown:
                     continue
-                if grown >= _RAW_SEEN_LIMIT:
+                if grown >= RAW_SEEN_LIMIT:
                     raw_seen.clear()
-                sid2 = out_sids[u]
-                orbit = recs[rinv_list[j]]
+                orbit = recs[rinv_list[j]] if batch_canon else SAVED_ORBIT
                 if orbit is SAVED_ORBIT:
-                    # Saved-requestor IDs: permutation-dependent signatures,
-                    # per-state encoded brute force (exactly what the serial
-                    # canonicalize would do for this state).
+                    # Per-state encoded canonicalization (saved-requestor
+                    # regions have permutation-dependent signatures).
                     enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
                     start = timer()
                     cenc, perm = canonicalize(enc)
-                    ctx.canon_seconds += timer() - start
-                    if cenc is enc:
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
-                        )
-                        rsid = sid2
-                    else:
-                        enc = cenc
-                        key = pack(enc)
-                        rsid = -1
-                    entry_encs.append(enc)
+                    ex.canon_seconds += timer() - start
+                    relabeled = cenc is not enc
+                    enc = cenc
                 else:
                     best, extra = orbit
                     if best is None:
@@ -770,31 +353,11 @@ def _run_vectorized(ctx):
                         enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
                         start = timer()
                         best = _tie_break_encoded(enc, codec, extra)
-                        if best == identity:
-                            key = (
-                                vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                                + sinfo[sid2][4]
-                            )
-                            rsid = sid2
-                        else:
+                        relabeled = best != identity
+                        if relabeled:
                             enc = codec.relabel_via_tables(enc, best, saved=False)
-                            key = pack(enc)
-                            rsid = -1
-                        ctx.canon_seconds += timer() - start
-                        perm = best
-                        entry_encs.append(enc)
-                    elif extra is None:
-                        # Identity winner: the raw successor is canonical;
-                        # its bytes are already the intern key and the
-                        # tuple is only built (in phase 3) if it is new.
-                        perm = best
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
-                        )
-                        rsid = sid2
-                        entry_encs.append(None)
-                    else:
+                        ex.canon_seconds += timer() - start
+                    elif extra is not None:
                         # Unique non-identity winner: canonical encoding
                         # assembles from the orbit-cached relabeled prefix
                         # and the codec's memoized relabeled suffix.
@@ -802,55 +365,24 @@ def _run_vectorized(ctx):
                         enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
                         t2 = codec.perm_tables(best)[2]
                         enc = tuple(extra + codec._relabeled_suffix(enc, best, t2))
-                        ctx.canon_seconds += timer() - start
-                        perm = best
-                        key = pack(enc)
-                        rsid = -1
-                        entry_encs.append(enc)
-                entries.append((key, ids[parent_pos[u]], eevs[u], perm))
-                entry_us.append(u)
-                entry_rows.append(j)
-                entry_rsids.append(rsid)
-        else:
-            for j, u in enumerate(order_list):
-                perm = None
-                if canonicalize is not None:
-                    grown = len(raw_seen) + 1
-                    raw_seen.add(vbytes[j * rowsize : (j + 1) * rowsize])
-                    if len(raw_seen) != grown:
-                        continue
-                    if grown >= _RAW_SEEN_LIMIT:
-                        raw_seen.clear()
-                    sid2 = out_sids[u]
-                    enc = tuple(rows_list[j][:net_offset]) + sinfo[sid2][0]
-                    start = timer()
-                    cenc, perm = canonicalize(enc)
-                    ctx.canon_seconds += timer() - start
-                    if cenc is enc:
-                        key = (
-                            vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                            + sinfo[sid2][4]
-                        )
-                        rsid = sid2
-                    else:
-                        enc = cenc
-                        key = pack(enc)
-                        rsid = -1
-                    entry_encs.append(enc)
-                else:
-                    sid2 = out_sids[u]
-                    key = (
-                        vbytes[j * rowsize : j * rowsize + prefix_bytes]
-                        + sinfo[sid2][4]
-                    )
-                    entry_encs.append(None)
-                    rsid = sid2
-                entries.append((key, ids[parent_pos[u]], eevs[u], perm))
-                entry_us.append(u)
-                entry_rows.append(j)
-                entry_rsids.append(rsid)
+                        ex.canon_seconds += timer() - start
+                        relabeled = True
+                    # else: identity winner -- the raw row is canonical and
+                    # its tuple is only built (in phase 3) if it is new.
+                    perm = best
+            if relabeled:
+                key = pack(enc)
+                rsid = -1
+            else:
+                key = vbytes[j * rowsize : j * rowsize + prefix_bytes] + sinfo[sid2][4]
+                rsid = sid2
+            entries.append((key, ids[parent_pos[u]], eevs[u], perm))
+            entry_encs.append(enc)
+            entry_us.append(u)
+            entry_rows.append(j)
+            entry_rsids.append(rsid)
         # Phase 2 -- one batch intern for the whole level.
-        new_ids = store.intern_batch(entries)
+        new_ids = ctx.store.intern_batch(entries)
         # Phase 3 -- replay leaves and new states interleaved in stream
         # order (leaf ``(k, ...)`` precedes successor ``u`` iff ``k <= u``),
         # preserving the exact serial failure order.
@@ -860,12 +392,17 @@ def _run_vectorized(ctx):
         leaves = level.leaves
         n_leaves = len(leaves)
         li = 0
+
+        def leaf(entry):
+            _seq, state_id, pos = entry
+            return _leaf(ctx, state_id, tuple(F[pos].tolist()) + sinfo[sids[pos]][0])
+
         for j, new_id in enumerate(new_ids):
             u = entry_us[j]
             while li < n_leaves and leaves[li][0] <= u:
-                failure = _vectorized_leaf(ctx, leaves[li], F, sids, vk)
+                failure = leaf(leaves[li])
                 if failure is not None:
-                    return failure
+                    return None, failure
                 li += 1
             if new_id < 0:
                 continue
@@ -876,9 +413,7 @@ def _run_vectorized(ctx):
                 # prefix lanes come straight off the matrix and its section
                 # is interned -- the encoded tuple is never built at all.
                 next_ids.append(new_id)
-                next_prefixes.append(
-                    tuple(rows_list[entry_rows[j]][:net_offset])
-                )
+                next_prefixes.append(tuple(rows_list[entry_rows[j]][:net_offset]))
                 next_sids.append(entry_rsids[j])
                 continue
             if enc is None:  # the raw successor is canonical: build it now
@@ -887,39 +422,44 @@ def _run_vectorized(ctx):
                     + sinfo[out_sids[u]][0]
                 )
             if (not row_ok) if row_ok is not None else (not check(enc, codes)):
-                successor = codec.decode(enc)
-                for invariant in ctx.invariants:
-                    violation = invariant(system, successor)
-                    if violation is not None:
-                        return ctx.failure(violation=violation, leaf_id=new_id)
+                violation = ex.violation(enc)
+                if violation is not None:
+                    return None, ctx.failure(violation=violation, leaf_id=new_id)
             rsid = entry_rsids[j]
             if rsid < 0:  # relabeled tail: intern its section once
                 rsid = intern_section(enc[net_offset:])
             next_ids.append(new_id)
             next_prefixes.append(enc[:net_offset])
             next_sids.append(rsid)
-        while li < n_leaves:
-            failure = _vectorized_leaf(ctx, leaves[li], F, sids, vk)
+        for entry in leaves[li:]:
+            failure = leaf(entry)
             if failure is not None:
-                return failure
-            li += 1
-        ids, sids = next_ids, next_sids
-        F = np.asarray(next_prefixes, dtype=vk.dtype)
-    return ctx.success()
+                return None, failure
+        return _Rows(next_ids, np.asarray(next_prefixes, dtype=vk.dtype),
+                     next_sids), None
+
+    if ctx.resume is not None:
+        unpack = codec.unpack
+        first = rows((sid, unpack(key)) for sid, key in ctx.resume["frontier"])
+    else:
+        first = rows([(ctx.root_id, ctx.root_enc)])
+    return drive_levels(ctx, first, ctx.resume_level or 0, expand_level, save)
 
 
 class BreadthFirst(SearchStrategy):
     name = "bfs"
 
     def run(self, ctx):
-        return _run_serial(ctx, lifo=False)
+        if ctx.vkernel is not None:
+            return _run_vectorized(ctx)
+        return _run_bfs(ctx, _serial_level(ctx))
 
 
 class DepthFirst(SearchStrategy):
     name = "dfs"
 
     def run(self, ctx):
-        return _run_serial(ctx, lifo=True)
+        return _run_dfs(ctx)
 
 
 #: Frontier width above which the parallel strategy spins up its worker
@@ -935,13 +475,13 @@ POOL_SPINUP_FRONTIER = 2048
 class ParallelBreadthFirst(SearchStrategy):
     """Level-synchronous BFS over the shared-memory worker engine.
 
-    The worker fleet spins up **lazily**: levels are expanded in-process
-    (through the same record-based code path, forked-state free) until one
-    exceeds :data:`POOL_SPINUP_FRONTIER`, so searches too small to amortize
-    the fixed fork + IPC startup never pay it.  Once a level is wide enough
-    the engine (:class:`~repro.verification.engine.parallel.ShmEngine`)
-    forks persistent workers seeded with the visited set, the parent drops
-    its key index entirely, and all further levels run through zero-copy
+    The serial BFS driver runs until a level exceeds
+    :data:`POOL_SPINUP_FRONTIER`, so searches too small to amortize the
+    fixed fork + IPC startup never pay it.  That level's packed frontier
+    then goes to the engine
+    (:class:`~repro.verification.engine.parallel.ShmEngine`), which forks
+    persistent workers seeded with the visited set; the parent drops its key
+    index entirely, and all further levels run through zero-copy
     shared-memory frontier exchange with work-stealing chunk claims and
     digest-sharded dedup -- see :mod:`repro.verification.engine.parallel`.
     """
@@ -952,7 +492,6 @@ class ParallelBreadthFirst(SearchStrategy):
         self.processes = processes
 
     def run(self, ctx):
-        global _WORKER
         try:
             mp = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platform without fork
@@ -961,133 +500,44 @@ class ParallelBreadthFirst(SearchStrategy):
         if processes <= 1:
             return self._fallback(ctx)
 
+        def fleet(frontier, depth, **seed):
+            engine = ShmEngine(ctx, mp, processes)
+            try:
+                engine.spinup(**seed)
+                return engine.drive(frontier, depth)
+            finally:
+                engine.shutdown()
+
         resume = ctx.resume
         if resume is not None and resume["mode"] == "sharded":
             # Past-spin-up checkpoint: the store snapshot has no keys; the
             # visited set rides in the shard digest dumps, re-sharded here
             # under whatever worker count this run uses.
-            engine = ShmEngine(ctx, mp, processes)
-            engine.spinup(seed_blobs=resume["shards"])
-            try:
-                return engine.drive(
-                    [tuple(pair) for pair in resume["frontier"]],
-                    resume["level"],
-                )
-            finally:
-                engine.shutdown()
-        if resume is not None:
-            frontier = [tuple(pair) for pair in resume["frontier"]]
-            depth = resume["level"]
-        else:
-            root_id, _ = ctx.root
-            frontier = [(root_id, ctx.root_key)]
-            depth = 0
-        initargs = (ctx.system, ctx.invariants, ctx.perms, ctx.kernel_codes)
-        try:
-            # In-process phase: install the worker context in this process
-            # and expand narrow levels directly (identical records, no IPC).
-            _init_worker(*initargs)
-            while frontier:
-                remaining = ctx.max_states - ctx.explored
-                over_budget = remaining <= 0
-                if not over_budget and len(frontier) > remaining:
-                    if ctx.checkpoint_path is not None:
-                        # Stop at the level boundary (unclipped) so a
-                        # resumed run matches an uninterrupted one exactly.
-                        over_budget = True
-                    else:
-                        ctx.truncated = True
-                        frontier = frontier[:remaining]
-                if over_budget:
-                    ctx.truncated = True
-                    if ctx.checkpoint_path is not None:
-                        checkpoint_mod.save(
-                            ctx, mode="level", frontier=frontier, level=depth
-                        )
-                    break
-                if len(frontier) > POOL_SPINUP_FRONTIER:
-                    engine = ShmEngine(ctx, mp, processes)
-                    # Seed worker shards with everything interned so far
-                    # (post-_key keys: under hash compaction these already
-                    # ARE the 128-bit digests), then drop the parent's key
-                    # index -- from here on membership lives on the workers
-                    # and the parent only appends trace links.
-                    engine.spinup(seed_keys=list(ctx.store.iter_keys()))
-                    ctx.store.drop_index()
-                    try:
-                        return engine.drive(frontier, depth)
-                    finally:
-                        engine.shutdown()
-                ctx.explored += len(frontier)
-                records, canon_seconds, _decodes = _expand_batch(frontier)
-                ctx.canon_seconds += canon_seconds
-                # In-process expansion shares ctx.codec, whose decode
-                # counter the stats already read; nothing to sum here.
-                next_frontier = []
-                for record in records:
-                    failure = self._absorb(ctx, record, next_frontier)
-                    if failure is not None:
-                        return failure
-                frontier = next_frontier
-                depth += 1
-        finally:
-            _WORKER = None
-        return ctx.success()
+            return fleet([tuple(pair) for pair in resume["frontier"]],
+                         resume["level"], seed_blobs=resume["shards"])
+        expand_level = _serial_level(ctx)
+        pack = ctx.codec.pack
+
+        def expand_or_spin_up(frontier, depth):
+            if len(frontier) <= POOL_SPINUP_FRONTIER:
+                return expand_level(frontier, depth)
+            # Seed worker shards with everything interned so far (under hash
+            # compaction these keys already ARE the 128-bit digests), then
+            # drop the parent's key index -- from here on membership lives
+            # on the workers and the parent only appends trace links.
+            keys = list(ctx.store.iter_keys())
+            ctx.store.drop_index()
+            packed = [(sid, pack(enc)) for sid, enc in frontier]
+            return None, fleet(packed, depth, seed_keys=keys)
+
+        return _run_bfs(ctx, expand_or_spin_up)
 
     @staticmethod
     def _fallback(ctx):
         """Serial BFS stand-in; relabel the result so it is not attributed
         to the parallel strategy."""
         ctx.strategy_name = BreadthFirst.name
-        return _run_serial(ctx, lifo=False)
-
-    @staticmethod
-    def _absorb(ctx, record, next_frontier):
-        """Merge one worker record into the store; return a failure result or None.
-
-        Workers already canonicalize, pack and de-duplicate successors at
-        the source, so on the overwhelmingly common no-failure path the
-        parent's only remaining work is the batch intern
-        (:meth:`~repro.verification.engine.store.StateStore.intern_children`)
-        -- violations ride out-of-band in the record and fall back to the
-        per-successor loop only when one actually occurred.
-        """
-        if record[0] == "leaf":
-            _, sid, quiescent, stuck = record
-            if quiescent:
-                if ctx.check_workload_deadlock and stuck:
-                    return ctx.failure(deadlock=True, leaf_id=sid)
-                ctx.complete_states += 1
-                return None
-            if ctx.check_deadlock:
-                return ctx.failure(deadlock=True, leaf_id=sid)
-            return None
-        _, sid, applied, succs, err, vio = record
-        ctx.transitions += applied
-        if vio is not None:
-            # The worker checks invariants before cross-worker dedup; a hit
-            # on an already-known state is still a valid counterexample (the
-            # stored chain reaches the same canonical state).  Successors
-            # past the violating one are dropped, exactly as the pre-batch
-            # absorb loop did.
-            index, violation = vio
-            next_frontier.extend(ctx.store.intern_children(sid, succs[:index]))
-            encoded_event, successor_key, perm = succs[index]
-            leaf_id, _ = ctx.store.intern(
-                successor_key, parent=sid, event=encoded_event, perm=perm
-            )
-            return ctx.failure(violation=violation, leaf_id=leaf_id)
-        # Events are stored in their encoded form; counterexample traces
-        # decode them lazily (Exploration.trace_events), on failure only.
-        next_frontier.extend(ctx.store.intern_children(sid, succs))
-        if err is not None:
-            encoded_event, message = err
-            return ctx.failure(
-                error=message,
-                leaf_id=sid,
-                final_event=ctx.codec.decode_event(encoded_event),
-            )
-        return None
+        return BreadthFirst().run(ctx)
 
 
 def resolve_strategy(spec, *, processes: int | None = None) -> SearchStrategy:

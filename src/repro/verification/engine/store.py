@@ -93,10 +93,8 @@ class StateStore:
     ) -> list[tuple[int, object]]:
         """Batch :meth:`intern` of ``(event, key, perm)`` triples from one parent.
 
-        The parallel search's absorb loop is per-successor work the parent
-        does serially; batching it into one call with the hot lookups bound
-        to locals keeps the parent thin while workers expand the next
-        shards.  Returns ``[(id, key), ...]`` for the genuinely new keys, in
+        No search calls this; it stays because the benchmark's layer tracer
+        wraps it by name.  Returns ``[(id, key), ...]`` for the genuinely new keys, in
         input order -- exactly the pairs the next frontier needs.  Already
         known keys record nothing, like :meth:`intern`.
         """

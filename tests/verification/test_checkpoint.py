@@ -12,22 +12,26 @@ The contract under test (``verify(..., checkpoint=PATH)``):
 * a completed run consumes its checkpoint file;
 * a checkpoint written by a *different* search configuration (symmetry,
   workload, backend, payload version) refuses to resume with
-  :class:`CheckpointMismatch` instead of silently corrupting the search.
+  :class:`CheckpointMismatch` instead of silently corrupting the search, and
+  so does a truncated or corrupted file (the header digest must match).
 
-Covers the serial mid-level ``deque`` shape (compiled and object kernels,
-both symmetry modes, hash compaction) and the level-synchronous shape the
-vectorized kernel saves.  The sharded parallel shape has its own suite in
+Covers the level-boundary shape every BFS saves (serial compiled and object
+kernels, both symmetry modes, hash compaction, the vectorized kernel, and
+the parallel strategy before its pool spins up) and the DFS stack
+(``deque``).  The sharded parallel shape has its own suite in
 ``test_parallel_engine.py``.
 """
 
 import os
 import pickle
+import re
 
 import pytest
 
 from repro.system import System, Workload
 from repro.verification import verify
 from repro.verification.engine import CheckpointMismatch
+from repro.verification.engine import checkpoint as checkpoint_mod
 
 from verification_helpers import make_swmr_mutant
 
@@ -58,9 +62,9 @@ def run_sliced(system, path, budgets, **mode):
 
 
 # Every checkpoint shape except the parallel engine's sharded one: the
-# serial deque (compiled / object / symmetry / hash-compaction axes) and
-# the vectorized kernel's level-synchronous save, with and without
-# symmetry reduction.
+# BFS level boundary (compiled / object / symmetry / hash-compaction /
+# vectorized axes, and the parallel strategy's pre-spin-up phase, which
+# runs the serial BFS driver on these small spaces) and the DFS stack.
 CHECKPOINT_MODES = [
     dict(),
     dict(kernel="object"),
@@ -68,6 +72,12 @@ CHECKPOINT_MODES = [
     dict(symmetry=True, hash_compaction=True),
     dict(kernel="vectorized"),
     dict(symmetry=True, kernel="vectorized"),
+    dict(strategy="dfs"),
+    dict(strategy="dfs", symmetry=True),
+    dict(strategy="dfs", kernel="object"),
+    dict(strategy="dfs", kernel="object", symmetry=True),
+    dict(strategy="parallel"),
+    dict(strategy="parallel", kernel="object", symmetry=True),
 ]
 
 
@@ -127,21 +137,23 @@ class TestCheckpointLifecycle:
         assert result.ok and not result.partial
         assert not os.path.exists(path)
 
-    def test_resume_level_reported_in_stats(self, msi_nonstalling, tmp_path):
-        """The level-synchronous shapes surface where the resume picked up."""
+    @pytest.mark.parametrize("kernel", ["vectorized", "compiled"])
+    def test_resume_level_reported_in_stats(self, msi_nonstalling, tmp_path,
+                                            kernel):
+        """Every BFS saves at a level boundary and surfaces where the resume
+        picked up."""
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2))
         path = str(tmp_path / "run.ckpt")
-        leg = verify(system, max_states=300, checkpoint=path,
-                     kernel="vectorized")
+        leg = verify(system, max_states=300, checkpoint=path, kernel=kernel)
         assert leg.partial
         result = verify(system, max_states=40_000, checkpoint=path,
-                        kernel="vectorized")
+                        kernel=kernel)
         assert result.ok
         assert result.stats["resume_level"] is not None
         assert result.stats["resume_level"] >= 1
         # A fresh (non-resumed) run reports None on the same key.
-        fresh = verify(system, kernel="vectorized")
+        fresh = verify(system, kernel=kernel)
         assert fresh.stats["resume_level"] is None
 
 
@@ -174,13 +186,44 @@ class TestMismatchRejection:
             verify(other, max_states=40_000, checkpoint=path)
 
     def test_stale_payload_version(self, saved_checkpoint):
+        """A well-formed header naming another payload version."""
         system, path = saved_checkpoint
         with open(path, "rb") as f:
+            data = bytearray(f.read())
+        magic, _version, digest = checkpoint_mod._HEADER.unpack_from(data)
+        checkpoint_mod._HEADER.pack_into(data, 0, magic, 999, digest)
+        with open(path, "wb") as f:
+            f.write(data)
+        with pytest.raises(CheckpointMismatch, match="payload version 999"):
+            verify(system, max_states=40_000, checkpoint=path)
+
+    def test_version_1_file_is_refused(self, saved_checkpoint):
+        """Version 1 was a bare pickle with the version inside the payload
+        (and serial BFS saved a mid-level ``deque`` then)."""
+        system, path = saved_checkpoint
+        with open(path, "rb") as f:
+            f.seek(checkpoint_mod._HEADER.size)
             payload = pickle.load(f)
-        payload["version"] = -1
+        payload.update(version=1, mode="deque", level=None)
         with open(path, "wb") as f:
             pickle.dump(payload, f)
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CheckpointMismatch, match=re.escape(repr(path))):
+            verify(system, max_states=40_000, checkpoint=path)
+
+    def test_truncated_file_is_refused(self, saved_checkpoint):
+        system, path = saved_checkpoint
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(CheckpointMismatch, match="corrupt"):
+            verify(system, max_states=40_000, checkpoint=path)
+
+    def test_flipped_body_byte_is_refused(self, saved_checkpoint):
+        system, path = saved_checkpoint
+        with open(path, "r+b") as f:
+            f.seek((checkpoint_mod._HEADER.size + os.path.getsize(path)) // 2)
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(CheckpointMismatch, match="corrupt"):
             verify(system, max_states=40_000, checkpoint=path)
 
     def test_budget_and_worker_count_are_not_bound(self, msi_nonstalling,

@@ -758,6 +758,27 @@ class TestPartialAbortStats:
         assert isinstance(stats["expansion_seconds"], float)
         assert stats["expansion_seconds"] >= 0.0
 
+    # Without a checkpoint, a budgeted BFS clips its last level to the
+    # remaining budget: exactly ``max_states`` states, with the transitions
+    # and completed runs of a per-state BFS cut at the same point (the
+    # counts are pinned from the per-state serial BFS the level driver
+    # replaced; 777 cuts mid-level).
+    @pytest.mark.parametrize("mode, budget, transitions, complete", [
+        (dict(), 200, 485, 0),
+        (dict(), 777, 1703, 31),
+        (dict(symmetry=True), 777, 1473, 53),
+        (dict(kernel="object"), 777, 1703, 31),
+        (dict(kernel="object", symmetry=True), 777, 1473, 53),
+    ])
+    def test_budget_cut_without_checkpoint_is_exact(
+            self, msi_nonstalling, mode, budget, transitions, complete):
+        system = System(msi_nonstalling, num_caches=2,
+                        workload=Workload(max_accesses_per_cache=2))
+        result = verify(system, max_states=budget, **mode)
+        assert result.partial and result.ok
+        assert (result.states_explored, result.transitions_explored,
+                result.complete_states) == (budget, transitions, complete)
+
     def test_budgeted_abort_on_faulted_object_search(self, msi_nonstalling):
         system = System(msi_nonstalling, num_caches=2,
                         workload=Workload(max_accesses_per_cache=2),

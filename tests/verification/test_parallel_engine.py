@@ -21,10 +21,16 @@ Contracts under test:
   (forced here with a tiny threshold) without changing any count;
 * a sharded checkpoint resumes under a *different* worker count -- the
   digest dumps are re-sharded on seed -- and still lands on the serial
-  totals.
+  totals;
+* a worker that dies without reporting fails the search loudly
+  (``WorkerLost``) instead of hanging it, and leaves no process behind.
 """
 
+import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -70,6 +76,7 @@ PARITY_MODES = [
     dict(symmetry=True),
     dict(symmetry=True, hash_compaction=True),
     dict(kernel="object"),
+    dict(kernel="object", symmetry=True),
 ]
 
 
@@ -169,3 +176,37 @@ def test_sharded_checkpoint_resumes_under_different_worker_count(
     assert result.complete_states == serial.complete_states
     assert len(result.stats["worker_states"]) == 3
     assert not os.path.exists(path), "a completed run consumes its checkpoint"
+
+
+def test_lost_worker_fails_loudly_instead_of_hanging(msi_stalling,
+                                                     monkeypatch):
+    """A worker killed without a word (SIGKILL, the OOM killer) must raise
+    WorkerLost naming it, and shutdown must reap the survivors."""
+    spinup = parallel_mod.ShmEngine.spinup
+
+    def spinup_then_kill(self, **seed):
+        spinup(self, **seed)
+        threading.Thread(target=os.kill,
+                         args=(self.procs[0].pid, signal.SIGKILL)).start()
+
+    monkeypatch.setattr(parallel_mod.ShmEngine, "spinup", spinup_then_kill)
+    system = System(msi_stalling, num_caches=2,
+                    workload=Workload(max_accesses_per_cache=2))
+
+    def hung(signum, frame):
+        raise TimeoutError("verify hung on a lost worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)  # a regression fails here instead of hanging the suite
+    start = time.monotonic()
+    try:
+        with pytest.raises(parallel_mod.WorkerLost) as lost:
+            forced_parallel(system)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15
+    assert lost.value.wid == 0
+    assert lost.value.exitcode == -signal.SIGKILL
+    assert lost.value.level is not None
+    assert multiprocessing.active_children() == []
